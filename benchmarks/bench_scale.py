@@ -85,6 +85,11 @@ WINDOW = 30.0
 #: falling ratio long before any absolute floor would trip.
 CHECK_TOLERANCE = 0.70
 
+#: ``--check`` also requires these per-row work counts to equal the
+#: committed JSON exactly: the runs are seeded, so any drift means the
+#: simulated behaviour changed, not the machine.
+COUNT_KEYS = ("formation_events", "steady_events", "complete_views")
+
 DEFAULT_OUT = REPO_ROOT / "BENCH_scale.json"
 
 
@@ -190,92 +195,15 @@ def run_failure_row(row: dict) -> dict:
     }
 
 
-def row_scenario(row: dict, retain_trace: bool = True):
-    """The sharded-kernel scenario spec matching one sweep row's formation."""
-    from repro.shard import ShardScenario
-
-    warmup = WARMUP[row["kind"]]
-    if row["kind"] == "switched":
-        return ShardScenario(
-            builder="switched", builder_args=(row["networks"], row["per"]),
-            scheme="hierarchical", seed=SEED, run_until=warmup,
-            retain_trace=retain_trace,
-        )
-    return ShardScenario(
-        builder="router-tree",
-        builder_args=(row["depth"], row["branching"], row["per"]),
-        scheme="hierarchical", seed=SEED, run_until=warmup,
-        max_ttl=row["max_ttl"], retain_trace=retain_trace,
-    )
-
-
-def bench_row_sharded(row: dict, shards: int) -> dict:
-    """Formation through the sharded kernel (opt-in via --shards).
-
-    On a single-core host this measures barrier overhead, not speed-up;
-    the deterministic-merge contract is what the numbers certify.
-    """
-    from repro.shard import run_scenario
-
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        res = run_scenario(row_scenario(row, retain_trace=False), shards)
-        wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    total = sum(res.events)
-    return {
-        "shards": shards,
-        "formation_wall_s": round(wall, 4),
-        "events_per_shard": list(res.events),
-        "events_per_sec": round(total / wall),
-        "barriers": res.barriers,
-        "cross_shard_descriptors": res.exchanged,
-    }
-
-
-#: The shard gate's wall-clock tolerance: shards=2 may cost at most 10%
-#: over shards=1 (pure barrier/merge overhead on a single core).
-SHARD_WALL_TOLERANCE = 1.10
-
-
-def check_shard_differential() -> int:
-    """CI gate: shards=2 vs shards=1 on the 400-node formation scenario.
-
-    Fails on any trace-hash mismatch (the determinism contract) or on a
-    >10% wall-clock regression of the sharded run over the single-shard
-    run.
-    """
-    from repro.shard import run_scenario
-
-    row = next(r for r in ROWS if r["nodes"] == 400)
-    spec = row_scenario(row)
-    walls = {}
-    results = {}
-    for n in (1, 2):
-        gc.collect()
-        t0 = time.perf_counter()
-        results[n] = run_scenario(spec, n)
-        walls[n] = time.perf_counter() - t0
-    hash_ok = results[2].hash == results[1].hash
-    ratio = walls[2] / walls[1]
-    wall_ok = ratio <= SHARD_WALL_TOLERANCE
-    print(
-        f"shard-check 400 nodes: shards=1 {walls[1]:.2f}s, shards=2 {walls[2]:.2f}s "
-        f"({ratio:.2f}x, tolerance {SHARD_WALL_TOLERANCE:.2f}x) -> "
-        f"{'OK' if wall_ok else 'REGRESSION'}"
-    )
-    print(
-        f"shard-check trace hash: {results[1].hash[:16]}... vs "
-        f"{results[2].hash[:16]}... -> {'MATCH' if hash_ok else 'MISMATCH'}"
-    )
-    return 0 if (hash_ok and wall_ok) else 1
-
-
 def check_report(report: dict, reference_path: Path) -> int:
-    """Gate the scale-curve shape against the committed reference JSON."""
+    """Gate the scale curve against the committed reference JSON.
+
+    Two checks per row present in both reports: the work counts
+    (:data:`COUNT_KEYS`) must equal the reference exactly — a seeded run
+    executes the same events whatever the runner's speed — and the
+    events/sec ratio to the 100-node row must stay above the
+    :data:`CHECK_TOLERANCE` floor.
+    """
     if not reference_path.exists():
         print(f"--check: no reference at {reference_path}; nothing to compare")
         return 0
@@ -290,7 +218,17 @@ def check_report(report: dict, reference_path: Path) -> int:
     failed = False
     for size, cur in sorted(cur_sizes.items(), key=lambda kv: int(kv[0])):
         ref = ref_sizes.get(size)
-        if ref is None or size == base:
+        if ref is None:
+            continue
+        diffs = [
+            f"{key} {cur[key]} != {ref[key]}" for key in COUNT_KEYS if cur[key] != ref[key]
+        ]
+        failed |= bool(diffs)
+        print(
+            f"check {size:>6} nodes: counts "
+            f"{'match' if not diffs else 'MISMATCH (' + ', '.join(diffs) + ')'}"
+        )
+        if size == base:
             continue
         cur_ratio = cur["events_per_sec"] / cur_base
         ref_ratio = ref["events_per_sec"] / ref_base
@@ -376,12 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         "--profile", action="store_true",
         help="cProfile the largest row's steady window (top-25 cumulative)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also run each row's formation through the sharded kernel "
-             "with N shards (opt-in; single-core hosts measure overhead, "
-             "not speed-up)",
-    )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -393,8 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         entry = bench_row(row, profile=args.profile and n == largest)
         if row["kind"] == "switched" and not args.quick:
             entry.update(run_failure_row(row))
-        if args.shards > 0:
-            entry["shard"] = bench_row_sharded(row, args.shards)
         report["sizes"][str(n)] = entry
         print(
             f"{n} nodes ({entry['topology']}): formation {entry['formation_wall_s']:.1f}s "
@@ -403,21 +333,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{entry['events_per_sec']:,} events/s, "
             f"views {entry['complete_views']}/{n}"
         )
-        if "shard" in entry:
-            s = entry["shard"]
-            print(
-                f"  sharded x{s['shards']}: formation {s['formation_wall_s']:.1f}s, "
-                f"{s['barriers']} barriers, "
-                f"{s['cross_shard_descriptors']} cross-shard descriptors"
-            )
 
     if args.check:
-        rc = check_report(report, DEFAULT_OUT)
-        # The sharded-kernel gate rides the CI quick profile: hash
-        # equality plus bounded barrier overhead at 400 nodes.
-        if args.quick:
-            rc |= check_shard_differential()
-        return rc
+        return check_report(report, DEFAULT_OUT)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -10,7 +10,6 @@ Examples
     python -m repro.cli failover --rate 10
     python -m repro.cli analysis --sizes 100 1000 4000
     python -m repro.cli obs --networks 3 --hosts 8 --format prometheus
-    python -m repro.cli shard --shards 4 --networks 3 --hosts 10 --check-invariance
     python -m repro.cli daemon --spec cluster.json --node n0
 """
 
@@ -291,42 +290,6 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.shard import ShardScenario, run_scenario
-    from repro.shard.workers import run_scenario_mp
-
-    spec = ShardScenario(
-        builder="switched",
-        builder_args=(args.networks, args.hosts),
-        scheme=args.scheme,
-        seed=args.seed,
-        loss_rate=args.loss,
-        run_until=args.until,
-    )
-    t0 = time.perf_counter()
-    if args.processes:
-        res = run_scenario_mp(spec, args.shards)
-    else:
-        res = run_scenario(spec, args.shards)
-    wall = time.perf_counter() - t0
-    mode = "processes" if args.processes else "in-process"
-    print(f"shards={res.shards} ({mode})  hosts={res.summary['hosts']}  "
-          f"segments={res.summary['segments']}  lookahead={res.summary['lookahead']:.6f}s")
-    print(f"wall={wall:.2f}s  barriers={res.barriers}  "
-          f"cross-shard descriptors={res.exchanged}")
-    print(f"events per shard: {list(res.events)}")
-    print(f"trace records={len(res.trace)}  merged trace sha256={res.hash}")
-    if args.check_invariance:
-        ref = run_scenario(spec, 1)
-        ok = ref.hash == res.hash
-        print(f"shards=1 reference sha256={ref.hash}  "
-              f"{'MATCH' if ok else 'MISMATCH'}")
-        return 0 if ok else 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -385,20 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="also stream the trace to a JSONL file")
     p.set_defaults(fn=_cmd_obs)
-
-    p = sub.add_parser("shard", help="sharded-kernel run with deterministic merge")
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="hierarchical")
-    p.add_argument("--networks", type=int, default=3)
-    p.add_argument("--hosts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--loss", type=float, default=0.02)
-    p.add_argument("--until", type=float, default=50.0)
-    p.add_argument("--processes", action="store_true",
-                   help="one worker process per shard (spawn) instead of in-process")
-    p.add_argument("--check-invariance", action="store_true",
-                   help="also run shards=1 and fail on a trace-hash mismatch")
-    p.set_defaults(fn=_cmd_shard)
 
     p = sub.add_parser("daemon", help="run one real asyncio/UDP membership daemon")
     p.add_argument("--spec", required=True, metavar="PATH",

@@ -44,7 +44,7 @@ Directory semantics:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.directory import NodeRecord
 from repro.core.config import HierarchicalConfig
@@ -89,11 +89,7 @@ class HierarchicalNode(MembershipNode):
             config=self.config,
             directory=self.directory,
             rng=self.rng,
-            updates=UpdateManager(
-                self.node_id,
-                self.config.piggyback_depth,
-                uid_alloc=self._make_uid_alloc(),
-            ),
+            updates=UpdateManager(self.node_id, self.config.piggyback_depth),
             detector=self.detector,
         )
         self._announcer = Announcer(self._ctx)
@@ -108,17 +104,6 @@ class HierarchicalNode(MembershipNode):
             self._informer,
             self._contender,
         )
-
-    def _make_uid_alloc(self) -> Optional[Callable[[], int]]:
-        """Ask the network for a per-node uid allocator, if it has one.
-
-        The plain :class:`~repro.net.network.Network` has no such hook
-        (the process-global counter suffices); the sharded kernel's
-        facade provides one so uids stay unique and deterministic across
-        shard processes.
-        """
-        hook = getattr(self.network, "uid_alloc", None)
-        return hook(self.node_id) if callable(hook) else None
 
     # ==================================================================
     # Failure-detection seam

@@ -141,10 +141,8 @@ class UpdateManager:
         self.node_id = node_id
         self.piggyback_depth = piggyback_depth
         self.seen_uid_window = seen_uid_window
-        # Pluggable uid source: the process-global counter is fine for
-        # one kernel, but the sharded runner needs uids that are unique
-        # across worker processes and independent of execution order, so
-        # it injects a per-node allocator (see ShardNetwork.uid_alloc).
+        # Optional uid source replacing the process-global counter
+        # (tests inject one to force colliding uids across origins).
         self._uid_alloc = uid_alloc
         # outgoing per-channel state
         self._next_seq: Dict[int, int] = {}

@@ -86,8 +86,6 @@ class Topology:
         # src host -> its (shared) seeded map; {} when src is cut off.
         self._mc_base: Dict[str, Dict[str, Tuple[float, float]]] = {}
         self._uc_base: Dict[str, Dict[str, float]] = {}
-        self._segments_cache: Optional[List[List[str]]] = None
-        self._segment_of: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -288,7 +286,6 @@ class Topology:
             infra[name] = {n: l for n, l in adj.items() if n not in leaf}
         self._leaf = leaf
         self._infra_adj = infra
-        self._segments_cache = None
         self._struct_version = self._version
 
     def _mc_from(self, seed: str, r0: float, l0: float) -> Dict[str, Tuple[float, float]]:
@@ -404,86 +401,6 @@ class Topology:
         if lat is None or self._kind[dst] is not NodeKind.HOST:
             return UNREACHABLE
         return lat
-
-    # ------------------------------------------------------------------
-    # Segment partition (shard map)
-    # ------------------------------------------------------------------
-    def segments(self) -> List[List[str]]:
-        """Hosts grouped by L2 segment, in deterministic insertion order.
-
-        A segment is a connected component of the graph with routers and
-        WAN edges removed — the paper's level-0 group domain.  Up/down
-        state is ignored: the partition is structural, so a shard map
-        derived from it stays valid across failures.
-        """
-        if self._struct_version != self._version:
-            self._rebuild_structure()
-        if self._segments_cache is not None:
-            return self._segments_cache
-        comp: Dict[str, int] = {}
-        next_id = 0
-        for start in self._kind:
-            if start in comp or self._kind[start] is NodeKind.ROUTER:
-                continue
-            comp[start] = next_id
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                for nxt in self._adj[node]:
-                    if (
-                        nxt in comp
-                        or self._kind[nxt] is NodeKind.ROUTER
-                        or (node, nxt) in self._wan_edges
-                    ):
-                        continue
-                    comp[nxt] = next_id
-                    stack.append(nxt)
-            next_id += 1
-        groups: Dict[int, List[str]] = {}
-        seg_of: Dict[str, int] = {}
-        for name, kind in self._kind.items():
-            if kind is NodeKind.HOST:
-                groups.setdefault(comp[name], []).append(name)
-        # Re-number densely in first-host insertion order so segment ids
-        # are stable and host-only (host-free components drop out).
-        ordered = list(groups.items())
-        result = []
-        for new_id, (_cid, hosts) in enumerate(ordered):
-            for h in hosts:
-                seg_of[h] = new_id
-            result.append(hosts)
-        self._segments_cache = result
-        self._segment_of = seg_of
-        return result
-
-    def segment_of(self, host: str) -> int:
-        """Segment id of ``host`` (see :meth:`segments`)."""
-        self.segments()
-        return self._segment_of[host]
-
-    def cross_segment_lookahead(self) -> float:
-        """Lower bound on any cross-segment delivery latency.
-
-        Every cross-segment path crosses a router or a WAN edge, so its
-        latency is at least the cheapest such pinch: for each router, the
-        sum of its two smallest incident edge latencies; for WAN, the
-        edge latency itself.  Downing devices only removes paths, so the
-        bound holds in every dynamic state — it is the conservative
-        lookahead for the sharded simulation's barrier windows.
-        Returns ``inf`` when nothing can cross (single segment).
-        """
-        best = UNREACHABLE
-        for name, kind in self._kind.items():
-            if kind is not NodeKind.ROUTER:
-                continue
-            lats = sorted(self._adj[name].values())
-            if len(lats) >= 2:
-                best = min(best, lats[0] + lats[1])
-            elif len(lats) == 1:
-                best = min(best, lats[0])
-        for (a, b) in self._wan_edges:
-            best = min(best, self._adj[a][b])
-        return best
 
     def _distances(self, src: str) -> Dict[str, Tuple[float, float]]:
         """(ttl, latency) to every reachable host, excluding WAN edges."""

@@ -275,38 +275,6 @@ class MetricsRegistry:
         fam = self._family(name, "histogram", help, labels, bounds=bounds)
         return fam if labels else fam.labels()
 
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's samples into this one.
-
-        The sharded runner gives every shard its own registry (lock-free
-        hot paths) and merges them at flush time.  Counters and histogram
-        samples add; gauges add too (queue depths and event counts are
-        per-shard partial sums — callers needing a different fold should
-        sample per shard instead).  Merging is only defined for families
-        with matching kind/labels/bounds, which holds when both sides
-        were wired by :mod:`repro.obs.wiring`.
-        """
-        for fam in other.families():
-            mine = self._family(fam.name, fam.kind, fam.help, fam.label_names, fam.bounds)
-            for key, child in fam.children():
-                target = mine.labels(**dict(key))
-                if fam.kind == "counter":
-                    assert isinstance(child, Counter) and isinstance(target, Counter)
-                    target.add(child.get())
-                elif fam.kind == "gauge":
-                    assert isinstance(child, Gauge) and isinstance(target, Gauge)
-                    target.inc(child.get())
-                else:
-                    assert isinstance(child, Histogram) and isinstance(target, Histogram)
-                    if target.bounds != child.bounds:
-                        raise ValueError(
-                            f"cannot merge histogram {fam.name!r}: bounds differ"
-                        )
-                    target.count += child.count
-                    target.sum += child.sum
-                    for i, c in enumerate(child.bucket_counts):
-                        target.bucket_counts[i] += c
-
     def families(self) -> Iterator[Family]:
         return iter(self._families.values())
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.cluster.directory import NodeRecord
 from repro.core.heartbeat import Heartbeat
@@ -115,6 +115,26 @@ _I64_MAX = (1 << 63) - 1
 
 class WireError(ValueError):
     """A datagram could not be encoded or decoded."""
+
+
+_T = TypeVar("_T")
+
+#: What rebuilding objects from hostile bytes can raise besides
+#: :class:`WireError`: an unhashable decoded dict key or set element
+#: (``TypeError``), a ``Packet`` or payload invariant rejecting a decoded
+#: field (``ValueError``), and nesting deeper than the interpreter stack
+#: (``RecursionError``).
+_DECODE_FAULTS = (TypeError, ValueError, RecursionError)
+
+
+def _strict(decode: Callable[[bytes], _T], data: bytes) -> _T:
+    """Run one decoder so that only :class:`WireError` can escape it."""
+    try:
+        return decode(data)
+    except WireError:
+        raise
+    except _DECODE_FAULTS as exc:
+        raise WireError(f"malformed datagram: {type(exc).__name__}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +365,10 @@ def _dec(cur: _Cursor) -> Any:
 
 def decode_value(data: bytes) -> Any:
     """Decode one value (no frame header).  Raises :class:`WireError`."""
+    return _strict(_decode_value, data)
+
+
+def _decode_value(data: bytes) -> Any:
     cur = _Cursor(data)
     value = _dec(cur)
     if cur.pos != len(data):
@@ -377,9 +401,14 @@ def encode_packet(pkt: Packet, port: Optional[str] = None) -> bytes:
 def decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
     """Parse one framed datagram into ``(packet, port)``.
 
-    Raises :class:`WireError` on bad magic, version mismatch, truncation
-    or trailing garbage.
+    Raises :class:`WireError` on bad magic, version mismatch, truncation,
+    trailing garbage or a payload that cannot be rebuilt; nothing else
+    escapes.
     """
+    return _strict(_decode_packet, data)
+
+
+def _decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
     if len(data) < _HEADER.size:
         raise WireError("datagram shorter than frame header")
     magic, version, length = _HEADER.unpack_from(data)

@@ -70,10 +70,7 @@ class ScheduledEvent:
         self,
         time: float,
         priority: int,
-        # An opaque same-instant tiebreaker: a monotonic int under the
-        # plain kernel, a derivation-tree tuple under the sharded kernel
-        # (repro.shard.engine).  Only ordering is ever relied on.
-        seq: Any,
+        seq: int,
         fn: Callable[..., Any],
         args: tuple,
     ) -> None:
@@ -409,10 +406,6 @@ class Simulator:
         self._stopped = False
         self._events_executed = 0
         self._free: list[ScheduledEvent] = []
-        #: The event whose callback is currently executing (None between
-        #: events).  The sharded kernel derives deterministic child event
-        #: keys from it; the base simulator only maintains it.
-        self._current: Optional[ScheduledEvent] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -621,9 +614,7 @@ class Simulator:
                 break
             heapq.heappop(queue)
             self._now = ev.time
-            self._current = ev
             ev.fn(*ev.args)
-            self._current = None
             self._events_executed += 1
             if ev.owned and not ev.cancelled:
                 ev.fn = _noop
@@ -663,9 +654,7 @@ class Simulator:
                 break
             heappop(ready)
             self._now = ev.time
-            self._current = ev
             ev.fn(*ev.args)
-            self._current = None
             self._events_executed += 1
             if ev.owned and not ev.cancelled:
                 ev.fn = _noop
@@ -684,24 +673,6 @@ class Simulator:
                 self._now = until
         return self._now
 
-    def run_window(self, end: float) -> float:
-        """Drain every event with ``time < end``, then set the clock to ``end``.
-
-        The window-bounded primitive of the conservative parallel kernel:
-        a shard runs its local queue up to (but excluding) the barrier
-        time, after which cross-shard traffic produced inside the window
-        is exchanged and merged.  Events scheduled at exactly ``end``
-        belong to the *next* window — barrier-injected deliveries landing
-        precisely on a window edge therefore execute after that barrier,
-        identically for every shard count.
-        """
-        limit = math.nextafter(end, -math.inf)
-        if limit > self._now:
-            self.run(until=limit)
-        if end > self._now:
-            self._now = end
-        return self._now
-
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain."""
         wheel = self._wheel
@@ -711,9 +682,7 @@ class Simulator:
                 if ev.cancelled:
                     continue
                 self._now = ev.time
-                self._current = ev
                 ev.fn(*ev.args)
-                self._current = None
                 self._events_executed += 1
                 return True
             return False
@@ -725,9 +694,7 @@ class Simulator:
             if ev.cancelled:
                 continue
             self._now = ev.time
-            self._current = ev
             ev.fn(*ev.args)
-            self._current = None
             self._events_executed += 1
             return True
 
