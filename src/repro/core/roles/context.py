@@ -41,22 +41,16 @@ class MemberHost(Protocol):
     """What the roles require of the node facade hosting them.
 
     :class:`~repro.core.node.HierarchicalNode` is the production
-    implementation; role unit tests substitute a stub.  The underscored
-    members are part of the facade's stable internal surface (tests
-    monkeypatch ``_maybe_sync``, so every internal sync request must
-    route through it).
+    implementation; role unit tests substitute a stub.
     """
 
     node_id: str
     incarnation: int
     running: bool
-    use_fast_path: bool
 
     def self_record(self) -> "NodeRecord": ...
 
     def refute_death(self) -> None: ...
-
-    def _maybe_sync(self, peer: str) -> bool: ...
 
     def _emit_member_up(self, target: str) -> None: ...
 
@@ -111,6 +105,10 @@ class NodeContext:
         # tracker until their sync_resp lands (bootstrap over lossy UDP
         # must not be a one-shot).
         self.pending_syncs: Set[str] = set()
+        # via -> fire time of the pending tombstone backstop sync
+        # (Informer.absorb_record): one per (via, instant), however many
+        # tombstoned records that peer sends.
+        self.sync_backstops: Dict[str, float] = {}
         # While this deadline is in the future (set on becoming leader),
         # sync results are re-announced wholesale to our groups — the
         # bootstrap protocol's "the result is then propagated to all group
@@ -147,18 +145,15 @@ class NodeContext:
     def now(self) -> float:
         return self.runtime.now
 
-    @property
-    def use_fast_path(self) -> bool:
-        return self.node.use_fast_path
-
     def maybe_sync(self, peer: str) -> bool:
-        """Request a sync exchange, routed through the facade hook.
+        """Request a sync exchange from the informer.
 
-        Every internal sync request goes through ``node._maybe_sync`` so
-        instance-level monkeypatching (tests, experiments) observes all
-        of them, whichever role originated the request.
+        Every internal sync request goes through here, and the informer's
+        method is looked up at call time, so patching
+        ``informer.maybe_sync`` on the instance observes all of them,
+        whichever role originated the request.
         """
-        return self.node._maybe_sync(peer)
+        return self.informer.maybe_sync(peer)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,6 +170,7 @@ class NodeContext:
         self.tombstones.clear()
         self.tombstone_refutes.clear()
         self.pending_syncs.clear()
+        self.sync_backstops.clear()
 
     # ------------------------------------------------------------------
     # Channel participation

@@ -413,13 +413,16 @@ class Informer:
                 self.originate([UpdateOp("remove", record.node_id, inc)])
             # Backstop for quiet corners: re-pull from the source once the
             # quarantine ends (by then the cluster has converged on either
-            # the removal or the higher incarnation).
-            remaining = ctx.config.tombstone_quarantine - (now - when)
-            ctx.runtime.call_once(
-                max(remaining, 0.0) + ctx.config.heartbeat_period,
-                ctx.maybe_sync,
-                via,
-            )
+            # the removal or the higher incarnation).  One backstop per
+            # (via, fire time): a leader's death can make every peer relay
+            # thousands of tombstoned records, and same-instant duplicates
+            # would only hit the min_sync_interval limit.
+            delay = max(ctx.config.tombstone_quarantine - (now - when), 0.0)
+            delay += ctx.config.heartbeat_period
+            fire_at = now + delay
+            if ctx.sync_backstops.get(via) != fire_at:
+                ctx.sync_backstops[via] = fire_at
+                ctx.runtime.call_once(delay, ctx.maybe_sync, via)
             return False
         memo = _vouch_memo
         entry = ctx.directory.entry_view(record.node_id)

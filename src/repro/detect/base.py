@@ -187,7 +187,7 @@ class FailureDetector(ABC):
         Default implementation for active detectors: judge every non-owner
         entry via :meth:`silent_ids`, then remove.  The counter strategy
         overrides this with the directory's own deadline purge (the
-        deadline-heap fast path the pre-refactor code used).
+        deadline heap).
         """
         candidates = [nid for nid in directory.members() if nid != directory.owner]
         dead = self.silent_ids(scope, candidates, now, timeout)

@@ -50,7 +50,8 @@ def make_scheme_cluster(
     The evaluation's emulation maps each multicast channel to one network
     of 20 hosts ("Each multicast channel hosts 20 nodes... five networks
     for 100 nodes", Section 6.2).  Extra keyword arguments are forwarded
-    to the node constructor (e.g. ``use_fast_path=False`` for A/B runs).
+    to the node constructor (e.g. ``services=[ServiceSpec.make("index",
+    "1-3")]`` to publish a service on every host).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}")

@@ -107,7 +107,7 @@ class BandwidthMeter:
     ) -> None:
         """Log one same-sized packet for every host in ``hosts`` at ``time``.
 
-        Batch twin of :meth:`record` for the multicast fast path, where a
+        Batch twin of :meth:`record` for multicast fan-out, where a
         whole delay bucket of receivers is accounted in one call: the
         min/max-time bookkeeping and series branch run once per batch, and
         the cell lookup is inlined (this loop runs once per receiver per

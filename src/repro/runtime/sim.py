@@ -13,8 +13,7 @@ pieces of genuine bookkeeping of its own:
 * the **epoch guard** — one-shots capture the epoch at scheduling time
   and are dropped at fire time if the runtime was deactivated or the
   epoch moved (daemon restart, or an incarnation bump from a death-rumor
-  refutation).  This preserves the exact semantics of the former
-  ``HierarchicalNode._call_once`` belt-and-braces incarnation check.
+  refutation), so a one-shot never fires into a later life of its node.
 
 Determinism: ``call_once`` schedules exactly one kernel event (the
 guard closure), ``call_every`` delegates to the kernel's allocation-free

@@ -1,5 +1,7 @@
 """Unit tests for the yellow-page directory."""
 
+import random
+
 import pytest
 
 from repro.cluster import Directory, NodeRecord, parse_partitions
@@ -221,33 +223,118 @@ class TestSnapshots:
         assert len(d) == 0
 
 
+class _Reference:
+    """Brute-force model of the directory's staleness rules.
+
+    Keeps its own log of inserts, refreshes, vouches and relayer moves and
+    answers each purge by scanning every entry — the definition the
+    directory's heaps and vouch-gated groups must reproduce.
+    """
+
+    def __init__(self, owner):
+        self.owner = owner
+        self.entries = {}  # nid -> [order, last_refresh, relayed_by]
+        self.vouch = {}
+        self.order = 0
+
+    def upsert(self, nid, now, relayed_by):
+        cur = self.entries.get(nid)
+        if cur is None:
+            self.order += 1
+            self.entries[nid] = [self.order, now, relayed_by]
+        else:
+            cur[1], cur[2] = now, relayed_by
+
+    def refresh(self, nid, now, relayed_by):
+        cur = self.entries.get(nid)
+        if cur is not None:
+            cur[1], cur[2] = now, relayed_by
+
+    def reattribute(self, old, new):
+        moved = [cur for cur in self.entries.values() if cur[2] == old]
+        for cur in moved:
+            cur[2] = new
+        if moved and old in self.vouch:
+            # The vouch moves with the entries; an empty handover is a no-op.
+            prev = self.vouch[old]
+            self.vouch[new] = max(prev, self.vouch.get(new, prev))
+
+    def _take(self, doomed):
+        doomed.sort(key=lambda nid: self.entries[nid][0])
+        for nid in doomed:
+            del self.entries[nid]
+        return doomed
+
+    def purge_stale(self, now, timeout):
+        return self._take([
+            nid for nid, (_o, fresh, by) in self.entries.items()
+            if nid != self.owner and by is None and now - fresh > timeout
+        ])
+
+    def purge_stale_relayed(self, now, timeout):
+        return self._take([
+            nid for nid, (_o, fresh, by) in self.entries.items()
+            if nid != self.owner and by is not None
+            and now - max(fresh, self.vouch.get(by, float("-inf"))) > timeout
+        ])
+
+    def purge_relayed_by(self, leader):
+        return self._take([n for n, e in self.entries.items() if e[2] == leader])
+
+
+class _NoScanDict(dict):
+    """Entry table that refuses whole-table iteration."""
+
+    def _scan(self, *_args):
+        raise AssertionError("purge scanned the whole entry table")
+
+    __iter__ = items = values = keys = _scan
+
+
 class TestDeadlineHeapEngine:
-    """The heap-driven purges must mirror the legacy scans exactly."""
+    """The heap-driven purges must match a brute-force staleness scan."""
 
-    @staticmethod
-    def _pair():
-        fast, slow = Directory("me"), Directory("me")
-        slow.use_fast_path = False
-        return fast, slow
-
-    def test_fast_and_legacy_purges_agree_under_churn(self):
-        fast, slow = self._pair()
-        # Scripted churn: inserts, refreshes, vouches, reclassification,
-        # removals — the same sequence on both paths.
-        for d in (fast, slow):
-            for i in range(10):
-                d.upsert(rec(f"n{i}"), now=0.0, relayed_by="L" if i % 2 else None)
-            d.refresh("n2", 4.0)
-            d.refresh("n3", 4.0, relayed_by="L")  # reclass direct -> relayed
-            d.refresh("n5", 4.0, relayed_by=None)  # reclass relayed -> direct
-            d.vouch("L", 3.0)
-            d.remove("n9")
-        for now in (6.0, 9.0, 12.0):
-            assert fast.purge_stale(now, 5.0) == slow.purge_stale(now, 5.0)
-            assert fast.purge_stale_relayed(now, 5.0) == slow.purge_stale_relayed(
-                now, 5.0
-            )
-            assert list(fast.members()) == list(slow.members())
+    @pytest.mark.parametrize("seed", range(6))
+    def test_purges_match_brute_force_under_churn(self, seed):
+        rng = random.Random(seed)
+        d, ref = Directory("me"), _Reference("me")
+        nodes = ["me"] + [f"n{i}" for i in range(24)]
+        relayers = ["L1", "L2", "L3"]
+        now = 0.0
+        for _step in range(400):
+            now += rng.choice((0.0, 0.25, 0.5, 1.0))
+            op = rng.random()
+            nid = rng.choice(nodes)
+            by = rng.choice([None, None] + relayers)
+            if op < 0.35:
+                d.upsert(rec(nid), now, relayed_by=by)
+                ref.upsert(nid, now, by)
+            elif op < 0.6:
+                assert d.refresh(nid, now, relayed_by=by) == (nid in ref.entries)
+                ref.refresh(nid, now, by)
+            elif op < 0.75:
+                relayer = rng.choice(relayers)
+                d.vouch(relayer, now)
+                ref.vouch[relayer] = now
+            elif op < 0.8:
+                assert d.remove(nid) == (ref.entries.pop(nid, None) is not None)
+            elif op < 0.83:
+                old, new = rng.sample(relayers, 2)
+                d.reattribute(old, new)
+                ref.reattribute(old, new)
+            elif op < 0.85:
+                leader = rng.choice(relayers)
+                assert d.purge_relayed_by(leader) == ref.purge_relayed_by(leader)
+            else:
+                timeout = rng.choice((2.0, 5.0))
+                assert d.purge_stale(now, timeout) == ref.purge_stale(now, timeout)
+                assert d.purge_stale_relayed(now, timeout) == (
+                    ref.purge_stale_relayed(now, timeout)
+                )
+            assert list(d.members()) == sorted(ref.entries)
+            for n, (_o, fresh, by) in ref.entries.items():
+                assert d.relayed_by(n) == by
+                assert d.last_refresh(n) == fresh
 
     def test_purge_order_matches_insertion_order(self):
         d = Directory("me")
@@ -273,14 +360,37 @@ class TestDeadlineHeapEngine:
         assert d.purge_stale_relayed(10.0, 5.0) == []  # vouch covers it
         assert d.purge_stale_relayed(14.0, 5.0) == ["x"]  # vouch went stale
 
-    def test_enable_fast_path_after_inserts_rebuilds_heaps(self):
+    def test_steady_state_purges_never_scan_the_table(self):
+        # 1,200 fresh entries: 600 heard directly, 600 relayed by three
+        # leaders that keep vouching.  A steady-state purge tick must be
+        # heap pops and one vouch check per relayer — touching the whole
+        # table would make the tick O(cluster size) at every node.
         d = Directory("me")
-        d.use_fast_path = False
-        d.upsert(rec("x"), now=0.0)
-        d.upsert(rec("y"), now=0.0, relayed_by="L")
-        d.use_fast_path = True
-        assert d.purge_stale(10.0, 5.0) == ["x"]
-        assert d.purge_stale_relayed(10.0, 5.0) == ["y"]
+        direct = [f"d{i}" for i in range(600)]
+        relayed = [f"r{i}" for i in range(600)]
+        leaders = ["L0", "L1", "L2"]
+        for nid in direct:
+            d.upsert(rec(nid), now=0.0)
+        for i, nid in enumerate(relayed):
+            d.upsert(rec(nid), now=0.0, relayed_by=leaders[i % 3])
+        d._entries = _NoScanDict(d._entries)
+        for tick in range(1, 40):
+            now = float(tick)
+            for nid in direct:
+                d.refresh(nid, now)
+            for leader in leaders:
+                d.vouch(leader, now)
+            assert d.purge_stale(now, 5.0) == []
+            assert d.purge_stale_relayed(now, 5.0) == []
+        # Real expiries still go through the non-scanning paths.
+        now = 60.0
+        for nid in direct[:-1]:
+            d.refresh(nid, now)
+        for leader in leaders[:2]:
+            d.vouch(leader, now)
+        assert d.purge_stale(now, 5.0) == [direct[-1]]
+        assert d.purge_stale_relayed(now, 5.0) == relayed[2::3]
+        assert len(d) == 1200 - 1 - 200
 
 
 class TestVersionedViews:

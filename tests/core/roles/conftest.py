@@ -159,11 +159,9 @@ class FakeNode:
         self.node_id = node_id
         self.incarnation = 1
         self.running = True
-        self.use_fast_path = True
         self.member_up: List[str] = []
         self.member_down: List[Tuple[str, str]] = []
         self.refutations = 0
-        self.ctx: NodeContext  # set by build_daemon
 
     def self_record(self) -> NodeRecord:
         return NodeRecord(node_id=self.node_id, incarnation=self.incarnation)
@@ -171,10 +169,6 @@ class FakeNode:
     def refute_death(self) -> None:
         self.incarnation += 1
         self.refutations += 1
-
-    def _maybe_sync(self, peer: str) -> bool:
-        # Mirrors the facade: the single seam for internal sync requests.
-        return self.ctx.informer.maybe_sync(peer)
 
     def _emit_member_up(self, target: str) -> None:
         self.member_up.append(target)
@@ -206,7 +200,6 @@ class Daemon:
             Informer(self.ctx),
             Contender(self.ctx),
         )
-        self.node.ctx = self.ctx
         self.directory.upsert(self.node.self_record(), self.runtime.now)
         self.ctx.participate(0)
 

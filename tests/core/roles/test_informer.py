@@ -115,6 +115,19 @@ class TestTombstones:
         kinds = [(dst, kind) for (dst, kind, _, _, _) in daemon.runtime.sent]
         assert ("p1", "sync_req") in kinds
 
+    def test_repeated_hits_from_one_source_share_one_backstop(self, daemon):
+        # A dead leader's subtree reaches every peer as thousands of
+        # tombstoned records in one instant; each source still earns one
+        # re-pull, not one per record.
+        daemon.ctx.informer.bury("ghost", 3)
+        now = daemon.runtime.now
+        for _ in range(25):
+            daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p1", now=now)
+        (backstop,) = daemon.runtime.oneshots
+        assert backstop.args == ("p1",)
+        daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p2", now=now)
+        assert [t.args for t in daemon.runtime.oneshots] == [("p1",), ("p2",)]
+
     def test_refutation_storm_is_rate_limited(self, daemon):
         daemon.ctx.informer.bury("ghost", 3)
         now = daemon.runtime.now

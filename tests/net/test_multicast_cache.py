@@ -1,12 +1,14 @@
 """Delivery-plan cache invalidation under churn.
 
-The fast-path fabric caches per-(channel, src, ttl) recipient plans keyed
+The fabric caches per-(channel, src, ttl) recipient plans keyed
 on the topology version and a per-channel subscription version.  Every
 mutation that can change who hears a send — subscribe, unsubscribe,
 crash-driven unsubscribe_all, handler replacement, device up/down — must
 invalidate exactly the affected plans, and in-flight packets must respect
 state changes that land before delivery.
 """
+
+import random
 
 import pytest
 
@@ -186,25 +188,54 @@ class TestTopologyChurn:
         assert len(s2.received) == 1
 
 
-class TestFastSlowEquivalence:
-    @pytest.mark.parametrize("loss_rate,seed", [(0.0, 1), (0.25, 9)])
-    def test_paths_deliver_identically(self, loss_rate, seed):
-        def run(fast):
-            net, hosts = make_net(2, 4, loss_rate=loss_rate, seed=seed)
-            net.multicast_fabric.use_fast_path = fast
-            sinks = {h: Collector(net) for h in hosts}
-            for h, s in sinks.items():
-                net.subscribe("ch", h, s)
-            counts = []
-            for src in hosts[:3]:
-                for ttl in (1, 2):
-                    counts.append(
-                        net.multicast(src, "ch", ttl=ttl, kind="x", payload=None, size=7)
-                    )
-            net.run()
-            deliveries = {
-                h: [(t, p.src, p.ttl) for t, p in s.received] for h, s in sinks.items()
-            }
-            return counts, deliveries, net.meter.packets(direction="rx")
+class TestReferenceDelivery:
+    """Cached, batched delivery against an independent per-receiver model.
 
-        assert run(True) == run(False)
+    The reference walks the subscribers in subscription order, scopes
+    each by ``Topology.ttl_distance``, draws loss from a same-seed clone
+    of the fabric's loss stream, and times each arrival by
+    ``Topology.latency`` — none of it goes through delivery plans.
+    """
+
+    @pytest.mark.parametrize("loss_rate,seed", [(0.0, 1), (0.25, 9)])
+    def test_deliveries_match_reference(self, loss_rate, seed):
+        net, hosts = make_net(2, 4, loss_rate=loss_rate, seed=seed)
+        sinks = {h: Collector(net) for h in hosts}
+        for h, s in sinks.items():
+            net.subscribe("ch", h, s)
+        fabric = net.multicast_fabric
+        draws = None
+        if fabric.loss_rng is not None:
+            draws = random.Random()
+            draws.setstate(fabric.loss_rng.getstate())
+        topo = net.topo
+        sends = [(src, ttl) for src in hosts[:3] for ttl in (1, 2)]
+        counts = []
+        expected = {h: [] for h in hosts}
+        for src, ttl in sends:
+            counts.append(
+                net.multicast(src, "ch", ttl=ttl, kind="x", payload=None, size=7)
+            )
+        ref_counts = []
+        for src, ttl in sends:
+            in_scope = 0
+            for h in sinks:  # subscription order
+                if h == src or topo.ttl_distance(src, h) > ttl:
+                    continue
+                in_scope += 1
+                if draws is not None and draws.random() < loss_rate:
+                    continue
+                # Every send happens at t=0.
+                expected[h].append((topo.latency(src, h) + fabric.proc_delay, src, ttl))
+            ref_counts.append(in_scope)
+        net.run()
+        assert counts == ref_counts
+        for h in hosts:
+            # Same-instant arrivals keep send order (stable sort).
+            want = sorted(expected[h], key=lambda item: item[0])
+            got = [(t, p.src, p.ttl) for t, p in sinks[h].received]
+            assert got == want, h
+        delivered = sum(len(v) for v in expected.values())
+        assert net.meter.packets(direction="rx") == delivered
+        if loss_rate:
+            assert delivered < sum(ref_counts)  # the loss stream did bite
