@@ -272,7 +272,7 @@ class Receiver:
             # The snapshot subsumes every update the sender ever sent: mark
             # its streams caught-up (only now — a lost response must leave
             # us "behind" so the next heartbeat retriggers the poll).
-            for level, seq in packet.payload.get("seqs", {}).items():
+            for level, seq in packet.payload["seqs"].items():
                 if level in ctx.groups:
                     ctx.updates.note_synced(packet.src, level, seq)
         else:

@@ -266,15 +266,14 @@ def handle_probe_packet(
     One implementation for every scheme's unicast handler: answer pings,
     forward ping-reqs (the ack goes straight back to the origin, so a
     relay never tracks in-flight probes), and feed acks to the detector.
-    Payloads are plain scalars/dicts, so the same handler works across
-    the wire codec under :class:`~repro.runtime.anet.AsyncRuntime`.
+    Payloads are plain str dicts, so the same handler works across the
+    wire codec under :class:`~repro.runtime.anet.AsyncRuntime`, whose
+    per-kind schemas guarantee their keys and types.
     """
     kind = packet.kind
     if kind == "probe":
-        payload = packet.payload
-        origin = payload.get("origin", packet.src) if isinstance(payload, dict) else packet.src
         runtime.send(
-            str(origin),
+            packet.payload["origin"],
             kind="probe-ack",
             payload={},
             size=header_size + 8,
@@ -283,14 +282,13 @@ def handle_probe_packet(
         return True
     if kind == "probe-req":
         payload = packet.payload
-        if isinstance(payload, dict) and "target" in payload:
-            runtime.send(
-                str(payload["target"]),
-                kind="probe",
-                payload={"origin": payload.get("origin", packet.src)},
-                size=header_size + 16,
-                port=port,
-            )
+        runtime.send(
+            payload["target"],
+            kind="probe",
+            payload={"origin": payload["origin"]},
+            size=header_size + 16,
+            port=port,
+        )
         return True
     if kind == "probe-ack":
         detector.observe_ack(packet.src, runtime.now)

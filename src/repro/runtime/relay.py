@@ -44,7 +44,7 @@ import argparse
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.net.packet import Packet
 from repro.runtime.anet import (
@@ -173,20 +173,16 @@ class ChannelRelay(asyncio.DatagramProtocol):
             self._sweep_handle = None
 
     # -- control -------------------------------------------------------
-    def _on_sub(self, payload: object, addr: Tuple[str, int]) -> None:
-        if not isinstance(payload, dict):
-            return
-        node = payload.get("node")
-        segment = payload.get("segment")
-        channels = payload.get("channels")
-        if not isinstance(node, str) or not isinstance(segment, str):
-            return
-        if not isinstance(channels, list):
-            return
-        self.members[node] = _Member(addr=addr, segment=segment, last_seen=self._clock())
-        for channel in channels:
-            if isinstance(channel, str):
-                self.channels.setdefault(channel, {})[node] = None
+    # Control payloads arrive schema-checked by the wire codec: a
+    # relay_sub is {"node": str, "segment": str, "channels": [str]} and
+    # a relay_unsub {"node": str, "channels": [str]}.
+    def _on_sub(self, payload: Dict[str, Any], addr: Tuple[str, int]) -> None:
+        node = payload["node"]
+        self.members[node] = _Member(
+            addr=addr, segment=payload["segment"], last_seen=self._clock()
+        )
+        for channel in payload["channels"]:
+            self.channels.setdefault(channel, {})[node] = None
         self._ack(node, addr)
 
     def _ack(self, node: str, addr: Tuple[str, int]) -> None:
@@ -197,14 +193,9 @@ class ChannelRelay(asyncio.DatagramProtocol):
         ack = Packet(src=RELAY_DST, kind=RELAY_ACK, payload=None, size=0, dst=node)
         transport.sendto(encode_packet(ack), addr)
 
-    def _on_unsub(self, payload: object) -> None:
-        if not isinstance(payload, dict):
-            return
-        node = payload.get("node")
-        channels = payload.get("channels")
-        if not isinstance(node, str) or not isinstance(channels, list):
-            return
-        for channel in channels:
+    def _on_unsub(self, payload: Dict[str, Any]) -> None:
+        node = payload["node"]
+        for channel in payload["channels"]:
             subs = self.channels.get(channel)
             if subs is not None:
                 subs.pop(node, None)

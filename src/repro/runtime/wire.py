@@ -1,36 +1,72 @@
 """Versioned wire codec for membership datagrams.
 
 The simulator hands payload *objects* between nodes by reference; a real
-transport hands **bytes**.  This module is the boundary: a small, tagged,
-length-prefixed binary encoding for every payload the protocols put on
-the wire — heartbeats, update messages (with piggyback), sync polls and
-snapshots, plus the relay control messages of
-:mod:`repro.runtime.relay`.
+transport hands **bytes**.  This module is the boundary: a compact binary
+encoding for every payload the daemon puts on the wire — heartbeats,
+update messages (with piggyback), sync polls and snapshots, SWIM probes,
+plus the relay control messages of :mod:`repro.runtime.relay`.
 
-Frame layout::
+Frame layout (wire format v2)::
 
-    +-------+---------+-------------------+----------------------+
-    | magic | version | body length (u32) | body (tagged values) |
-    |  2 B  |   1 B   |        4 B        |                      |
-    +-------+---------+-------------------+----------------------+
+    +-------+---------+-----------+-------+
+    | magic | version | kind code | flags |   fixed header, 5 B
+    |  2 B  |   1 B   |    1 B    |  1 B  |
+    +-------+---------+-----------+-------+
+    [kind]                str   only for kind code 0
+    src                   str
+    [dst] [channel] [port]  str   each present when its flag bit is set
+    ttl, size             zigzag varints
+    payload               the kind's schema, or one tagged value (code 0)
 
-The body is one tagged value.  Every value is ``tag byte`` + payload;
-containers carry a u32 element count.  Domain types (``NodeRecord``,
-``Heartbeat``, ``UpdateMessage``, ``UpdateOp``) get their own tags so a
-decoded payload is *the same Python type* the protocol code produced —
-the roles never learn whether a packet travelled by reference or by
-bytes.
+``str`` is a LEB128 byte length plus UTF-8; every length and count is an
+unsigned LEB128 varint and every integer a zigzag varint, range-checked
+to i64.  The frame carries no body length: the datagram (or the
+reassembled frame) bounds it, and trailing bytes are an error.
+
+Every protocol kind has a code and a fixed schema, validated at encode
+(a sender bug fails loudly) and at decode (a hostile datagram never
+reaches a role handler in an unexpected shape):
+
+=============== == =====================================================
+kind            #  payload
+=============== == =====================================================
+``heartbeat``   1  :class:`Heartbeat`: flags byte (leader, suppressed,
+                   backup present, record id = ``src``), level,
+                   update_seq, the record, [backup]
+``update``      2  :class:`UpdateMessage` with :class:`UpdateOp` tuples
+                   and ``(seq, uid, origin, ops)`` piggyback entries
+``sync_req``    3  ``{"snapshot": [NodeRecord]}``
+``sync_resp``   4  ``{"snapshot": [NodeRecord], "seqs": {int: int}}``
+``probe``       5  ``{"origin": str}``
+``probe-req``   6  ``{"target": str, "origin": str}``
+``probe-ack``   7  ``{}``
+``relay_sub``   8  ``{"node": str, "segment": str, "channels": [str]}``
+``relay_unsub`` 9  ``{"node": str, "channels": [str]}``
+``relay_ack``   10 ``None``
+=============== == =====================================================
+
+Kind code 0 means "kind string follows" and carries one *tagged value*
+(a tag byte, then its body); it serves free-form application kinds
+(``load_report``, ``proxy_*``, ``gossip``).  A ``NodeRecord``'s
+``services`` and ``attrs`` are free-form too: each is a count of tagged
+key/value pairs.  Decoding yields the same Python types the protocol
+code produced — the roles never learn whether a packet travelled by
+reference or by bytes.
 
 Design constraints:
 
 * **Versioned** — the version byte is checked before anything else, so a
   rolling upgrade that changes the encoding fails loudly instead of
-  corrupting directories.
-* **Canonical** — ``frozenset`` elements are sorted before encoding, so
-  identical payloads always produce identical bytes (content-keyed
-  deduplication must survive serialization).
-* **Strict** — unknown tags, unknown types, truncated frames and
-  trailing garbage all raise :class:`WireError`; a malformed datagram is
+  corrupting directories (there is one decoder: a v1 frame is a version
+  mismatch).
+* **Canonical** — one payload has one encoding: ``frozenset`` elements
+  are sorted, varints are minimal, a schema kind is never sent under
+  code 0, and an elidable record id is always elided, so content-keyed
+  deduplication survives serialization.  The decoder rejects
+  non-minimal varints, schema kinds under code 0 and unelided ids.
+* **Strict** — unknown tags, kind codes or flag bits, truncated frames,
+  trailing garbage, out-of-range integers and payloads outside their
+  kind's schema all raise :class:`WireError`; a malformed datagram is
   dropped by the caller, never half-applied.
 
 No dependency on asyncio or sockets: the codec is pure functions over
@@ -72,6 +108,7 @@ from repro.net.packet import Packet
 
 __all__ = [
     "WIRE_VERSION",
+    "HEADER_SIZE",
     "MAX_UDP_PAYLOAD",
     "DEFAULT_MAX_DATAGRAM",
     "WireError",
@@ -94,7 +131,7 @@ MAGIC = b"RM"
 FRAG_MAGIC = b"RG"
 
 #: Current encoding version.  Bump on any change to tags or layouts.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: The hard OS limit on one UDP payload (IPv4: 65,535 - 20 IP - 8 UDP).
 MAX_UDP_PAYLOAD = 65507
@@ -104,13 +141,39 @@ MAX_UDP_PAYLOAD = 65507
 #: and loopback-stack slack never push a slice over the OS limit.
 DEFAULT_MAX_DATAGRAM = 61440
 
-_HEADER = struct.Struct(">2sBI")
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
+#: magic, version, kind code, flags
+_HEADER = struct.Struct(">2sBBB")
+
+#: Bytes before the first variable-length field of a frame.
+HEADER_SIZE = _HEADER.size
+
 _F64 = struct.Struct(">d")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+
+# Frame flag bits: which optional header strings follow ``src``.
+_F_DST = 0x01
+_F_CHANNEL = 0x02
+_F_PORT = 0x04
+
+# Heartbeat flag bits.
+_HB_LEADER = 0x01
+_HB_SUPPRESSED = 0x02
+_HB_BACKUP = 0x04
+_HB_SELF = 0x08  # record.node_id == src, so the id is elided
+
+# UpdateOp byte: the op's index in _OPS, plus a bit when a record follows.
+_OPS = ("add", "remove", "leave")
+_OP_INDEX = {name: index for index, name in enumerate(_OPS)}
+_OP_RECORD = 0x80
+
+# Tags of the generic tagged encoding (code-0 payloads, services, attrs).
+_T_NONE, _T_TRUE, _T_FALSE = ord("N"), ord("T"), ord("F")
+_T_INT, _T_FLOAT, _T_STR, _T_BYTES = ord("i"), ord("f"), ord("s"), ord("b")
+_T_TUPLE, _T_LIST, _T_DICT, _T_SET = ord("t"), ord("l"), ord("d"), ord("S")
+_T_RECORD, _T_HEARTBEAT = ord("R"), ord("H")
+_T_OP, _T_UPDATE = ord("O"), ord("U")
 
 
 class WireError(ValueError):
@@ -119,18 +182,18 @@ class WireError(ValueError):
 
 _T = TypeVar("_T")
 
-#: What rebuilding objects from hostile bytes can raise besides
-#: :class:`WireError`: an unhashable decoded dict key or set element
-#: (``TypeError``), a ``Packet`` or payload invariant rejecting a decoded
-#: field (``ValueError``), and nesting deeper than the interpreter stack
-#: (``RecursionError``).
+#: What rebuilding objects from hostile bytes (or walking a sender's
+#: payload) can raise besides :class:`WireError`: an unhashable decoded
+#: dict key or set element (``TypeError``), a ``Packet`` or payload
+#: invariant rejecting a decoded field (``ValueError``), and nesting
+#: deeper than the interpreter stack (``RecursionError``).
 _DECODE_FAULTS = (TypeError, ValueError, RecursionError)
 
 
-def _strict(decode: Callable[[bytes], _T], data: bytes) -> _T:
-    """Run one decoder so that only :class:`WireError` can escape it."""
+def _strict(codec: Callable[..., _T], *args: Any) -> _T:
+    """Run one codec entry point so that only :class:`WireError` escapes."""
     try:
-        return decode(data)
+        return codec(*args)
     except WireError:
         raise
     except _DECODE_FAULTS as exc:
@@ -138,112 +201,135 @@ def _strict(decode: Callable[[bytes], _T], data: bytes) -> _T:
 
 
 # ----------------------------------------------------------------------
-# Value encoding
+# Encoding primitives
 # ----------------------------------------------------------------------
-def _enc_str(out: bytearray, s: str) -> None:
+def _put_uvarint(out: bytearray, n: int) -> None:
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _put_int(out: bytearray, n: Any) -> None:
+    if type(n) is not int:
+        raise WireError(f"expected an int, got {type(n).__name__}")
+    if 0 <= n < 0x40:  # one-byte fast path: levels, flags, small counters
+        out.append(n << 1)
+        return
+    if not (_I64_MIN <= n <= _I64_MAX):
+        raise WireError(f"integer out of i64 range: {n}")
+    _put_uvarint(out, (n << 1) ^ (n >> 63))
+
+
+def _put_str(out: bytearray, s: Any) -> None:
+    if type(s) is not str:
+        raise WireError(f"expected a str, got {type(s).__name__}")
     raw = s.encode("utf-8")
-    out += _U32.pack(len(raw))
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _put_uvarint(out, len(raw))
     out += raw
 
 
-def _enc(out: bytearray, value: Any) -> None:
-    if value is None:
-        out += b"N"
+def _flag(value: Any, bit: int) -> int:
+    if value is True:
+        return bit
+    if value is False:
+        return 0
+    raise WireError(f"expected a bool, got {type(value).__name__}")
+
+
+def _put_items(out: bytearray, mapping: Any) -> None:
+    """A dict as a count of tagged key/value pairs (no tag of its own)."""
+    if type(mapping) is not dict:
+        raise WireError(f"expected a dict, got {type(mapping).__name__}")
+    _put_uvarint(out, len(mapping))
+    for key, val in mapping.items():
+        _put_value(out, key)
+        _put_value(out, val)
+
+
+def _put_value(out: bytearray, value: Any) -> None:
+    """One value of the generic tagged encoding."""
+    kind = type(value)
+    if kind is str:
+        out.append(_T_STR)
+        _put_str(out, value)
+    elif value is None:
+        out.append(_T_NONE)
     elif value is True:
-        out += b"T"
+        out.append(_T_TRUE)
     elif value is False:
-        out += b"F"
-    elif type(value) is int:
-        if not (_I64_MIN <= value <= _I64_MAX):
-            raise WireError(f"integer out of i64 range: {value}")
-        out += b"i"
-        out += _I64.pack(value)
-    elif type(value) is float:
-        out += b"f"
+        out.append(_T_FALSE)
+    elif kind is int:
+        out.append(_T_INT)
+        _put_int(out, value)
+    elif kind is float:
+        out.append(_T_FLOAT)
         out += _F64.pack(value)
-    elif type(value) is str:
-        out += b"s"
-        _enc_str(out, value)
-    elif type(value) is bytes:
-        out += b"b"
-        out += _U32.pack(len(value))
+    elif kind is bytes:
+        out.append(_T_BYTES)
+        _put_uvarint(out, len(value))
         out += value
-    elif type(value) is tuple:
-        out += b"t"
-        out += _U32.pack(len(value))
+    elif kind is tuple or kind is list:
+        out.append(_T_TUPLE if kind is tuple else _T_LIST)
+        _put_uvarint(out, len(value))
         for item in value:
-            _enc(out, item)
-    elif type(value) is list:
-        out += b"l"
-        out += _U32.pack(len(value))
-        for item in value:
-            _enc(out, item)
-    elif type(value) is dict:
-        out += b"d"
-        out += _U32.pack(len(value))
-        for key, val in value.items():
-            _enc(out, key)
-            _enc(out, val)
-    elif type(value) is frozenset:
-        out += b"S"
-        out += _U32.pack(len(value))
+            _put_value(out, item)
+    elif kind is dict:
+        out.append(_T_DICT)
+        _put_items(out, value)
+    elif kind is frozenset:
+        out.append(_T_SET)
+        _put_uvarint(out, len(value))
         # Canonical bytes: sort elements by their own encoding.
         encoded: List[bytes] = []
         for item in value:
             buf = bytearray()
-            _enc(buf, item)
+            _put_value(buf, item)
             encoded.append(bytes(buf))
         for raw in sorted(encoded):
             out += raw
-    elif type(value) is NodeRecord:
-        out += b"R"
-        _enc_str(out, value.node_id)
-        out += _I64.pack(value.incarnation)
-        _enc(out, value.services)
-        _enc(out, value.attrs)
-    elif type(value) is Heartbeat:
-        out += b"H"
-        _enc(out, value.record)
-        out += _I64.pack(value.level)
-        out += b"T" if value.is_leader else b"F"
-        out += b"T" if value.suppressed else b"F"
-        _enc(out, value.backup)
-        out += _I64.pack(value.update_seq)
-    elif type(value) is UpdateOp:
-        out += b"O"
-        _enc_str(out, value.op)
-        _enc_str(out, value.node_id)
-        out += _I64.pack(value.incarnation)
-        _enc(out, value.record)
-    elif type(value) is UpdateMessage:
-        out += b"U"
-        out += _I64.pack(value.uid)
-        _enc_str(out, value.origin)
-        _enc_str(out, value.sender)
-        out += _I64.pack(value.level)
-        out += _I64.pack(value.seq)
-        _enc(out, value.ops)
-        _enc(out, value.piggyback)
+    elif kind is NodeRecord:
+        out.append(_T_RECORD)
+        _put_record(out, value)
+    elif kind is Heartbeat:
+        out.append(_T_HEARTBEAT)
+        _put_heartbeat(out, value, None)
+    elif kind is UpdateOp:
+        out.append(_T_OP)
+        _put_op(out, value)
+    elif kind is UpdateMessage:
+        out.append(_T_UPDATE)
+        _put_update(out, value, None)
     else:
-        raise WireError(f"unencodable payload type: {type(value).__name__}")
+        raise WireError(f"unencodable payload type: {kind.__name__}")
 
 
 def encode_value(value: Any) -> bytes:
-    """Encode one value (no frame header).  Raises :class:`WireError`."""
+    """Encode one tagged value (no frame header).  Raises :class:`WireError`."""
     out = bytearray()
-    _enc(out, value)
+    _strict(_put_value, out, value)
     return bytes(out)
 
 
 # ----------------------------------------------------------------------
-# Value decoding
+# Decoding primitives
 # ----------------------------------------------------------------------
-class _Cursor:
+class _Reader:
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes, pos: int = 0) -> None:
         self.data = data
         self.pos = pos
+
+    def byte(self) -> int:
+        pos = self.pos
+        if pos >= len(self.data):
+            raise WireError("truncated datagram")
+        self.pos = pos + 1
+        return self.data[pos]
 
     def take(self, n: int) -> bytes:
         end = self.pos + n
@@ -253,127 +339,368 @@ class _Cursor:
         self.pos = end
         return raw
 
-    def u32(self) -> int:
-        return int(_U32.unpack(self.take(4))[0])
+    def uvarint(self) -> int:
+        data = self.data
+        pos = self.pos
+        if pos >= len(data):
+            raise WireError("truncated datagram")
+        byte = data[pos]
+        if byte < 0x80:  # one-byte fast path: most lengths, flags, levels
+            self.pos = pos + 1
+            return byte
+        value = byte & 0x7F
+        shift = 7
+        while True:
+            pos += 1
+            if pos >= len(data):
+                raise WireError("truncated datagram")
+            byte = data[pos]
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift > 63:
+                raise WireError("over-long varint (more than 10 bytes)")
+        if byte == 0:
+            raise WireError("over-long varint (non-minimal encoding)")
+        if value >> 64:
+            raise WireError("varint beyond 64 bits")
+        self.pos = pos + 1
+        return value
 
-    def i64(self) -> int:
-        return int(_I64.unpack(self.take(8))[0])
+    def int_(self) -> int:
+        # A zigzag varint below 2**64 is always within i64.
+        n = self.uvarint()
+        return (n >> 1) ^ -(n & 1)
+
+    def count(self) -> int:
+        # Every element takes at least one byte: a count the remaining
+        # bytes cannot hold fails here rather than after a long loop.
+        n = self.uvarint()
+        if n > len(self.data) - self.pos:
+            raise WireError(f"count {n} exceeds the datagram")
+        return n
 
     def str_(self) -> str:
-        raw = self.take(self.u32())
+        data = self.data
+        pos = self.pos
+        if pos < len(data) and data[pos] < 0x80:  # one-byte length
+            end = pos + 1 + data[pos]
+            pos += 1
+        else:
+            length = self.uvarint()
+            pos = self.pos
+            end = pos + length
+        if end > len(data):
+            raise WireError("truncated datagram")
+        self.pos = end
         try:
-            return raw.decode("utf-8")
+            return data[pos:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError("invalid utf-8 in string") from exc
 
-    def bool_(self) -> bool:
-        tag = self.take(1)
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        raise WireError(f"expected bool tag, got {tag!r}")
-
-
-def _dec(cur: _Cursor) -> Any:
-    tag = cur.take(1)
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return cur.i64()
-    if tag == b"f":
-        return float(_F64.unpack(cur.take(8))[0])
-    if tag == b"s":
-        return cur.str_()
-    if tag == b"b":
-        return cur.take(cur.u32())
-    if tag == b"t":
-        return tuple(_dec(cur) for _ in range(cur.u32()))
-    if tag == b"l":
-        return [_dec(cur) for _ in range(cur.u32())]
-    if tag == b"d":
-        count = cur.u32()
+    def items(self) -> Dict[Any, Any]:
         out: Dict[Any, Any] = {}
-        for _ in range(count):
-            key = _dec(cur)
-            out[key] = _dec(cur)
+        for _ in range(self.count()):
+            key = self.value()
+            out[key] = self.value()
         return out
-    if tag == b"S":
-        return frozenset(_dec(cur) for _ in range(cur.u32()))
-    if tag == b"R":
-        node_id = cur.str_()
-        incarnation = cur.i64()
-        services = _dec(cur)
-        attrs = _dec(cur)
-        if not isinstance(services, dict) or not isinstance(attrs, dict):
-            raise WireError("malformed NodeRecord")
-        return NodeRecord(
-            node_id=node_id, incarnation=incarnation, services=services, attrs=attrs
-        )
-    if tag == b"H":
-        record = _dec(cur)
-        if not isinstance(record, NodeRecord):
-            raise WireError("heartbeat without a NodeRecord")
-        level = cur.i64()
-        is_leader = cur.bool_()
-        suppressed = cur.bool_()
-        backup = _dec(cur)
-        update_seq = cur.i64()
-        if backup is not None and not isinstance(backup, str):
-            raise WireError("malformed heartbeat backup")
-        return Heartbeat(
-            record=record,
-            level=level,
-            is_leader=is_leader,
-            suppressed=suppressed,
-            backup=backup,
-            update_seq=update_seq,
-        )
-    if tag == b"O":
-        op = cur.str_()
-        node_id = cur.str_()
-        incarnation = cur.i64()
-        record = _dec(cur)
-        if record is not None and not isinstance(record, NodeRecord):
-            raise WireError("malformed UpdateOp record")
-        return UpdateOp(op=op, node_id=node_id, incarnation=incarnation, record=record)
-    if tag == b"U":
-        uid = cur.i64()
-        origin = cur.str_()
-        sender = cur.str_()
-        level = cur.i64()
-        seq = cur.i64()
-        ops = _dec(cur)
-        piggyback = _dec(cur)
-        if not isinstance(ops, tuple) or not isinstance(piggyback, tuple):
-            raise WireError("malformed UpdateMessage")
-        return UpdateMessage(
-            uid=uid,
-            origin=origin,
-            sender=sender,
-            level=level,
-            seq=seq,
-            ops=ops,
-            piggyback=piggyback,
-        )
-    raise WireError(f"unknown wire tag {tag!r}")
+
+    def value(self) -> Any:
+        pos = self.pos
+        if pos >= len(self.data):
+            raise WireError("truncated datagram")
+        tag = self.data[pos]
+        self.pos = pos + 1
+        if tag == _T_STR:
+            return self.str_()
+        if tag == _T_DICT:
+            return self.items()
+        if tag == _T_INT:
+            return self.int_()
+        if tag == _T_SET:
+            return frozenset(self.value() for _ in range(self.count()))
+        if tag == _T_NONE:
+            return None
+        if tag == _T_TRUE:
+            return True
+        if tag == _T_FALSE:
+            return False
+        if tag == _T_FLOAT:
+            return float(_F64.unpack(self.take(8))[0])
+        if tag == _T_BYTES:
+            return self.take(self.uvarint())
+        if tag == _T_TUPLE:
+            return tuple(self.value() for _ in range(self.count()))
+        if tag == _T_LIST:
+            return [self.value() for _ in range(self.count())]
+        if tag == _T_RECORD:
+            return _get_record(self)
+        if tag == _T_HEARTBEAT:
+            return _get_heartbeat(self, None)
+        if tag == _T_OP:
+            return _get_op(self)
+        if tag == _T_UPDATE:
+            return _get_update(self, None)
+        raise WireError(f"unknown wire tag {bytes([tag])!r}")
 
 
 def decode_value(data: bytes) -> Any:
-    """Decode one value (no frame header).  Raises :class:`WireError`."""
+    """Decode one tagged value (no frame header).  Raises :class:`WireError`."""
     return _strict(_decode_value, data)
 
 
 def _decode_value(data: bytes) -> Any:
-    cur = _Cursor(data)
-    value = _dec(cur)
-    if cur.pos != len(data):
-        raise WireError(f"{len(data) - cur.pos} trailing bytes after value")
+    reader = _Reader(data)
+    value = reader.value()
+    if reader.pos != len(data):
+        raise WireError(f"{len(data) - reader.pos} trailing bytes after value")
     return value
+
+
+# ----------------------------------------------------------------------
+# Domain types
+# ----------------------------------------------------------------------
+def _put_record(out: bytearray, rec: Any, with_id: bool = True) -> None:
+    if type(rec) is not NodeRecord:
+        raise WireError(f"expected a NodeRecord, got {type(rec).__name__}")
+    if with_id:
+        _put_str(out, rec.node_id)
+    _put_int(out, rec.incarnation)
+    _put_items(out, rec.services)
+    _put_items(out, rec.attrs)
+
+
+def _get_record(r: _Reader, node_id: Optional[str] = None) -> NodeRecord:
+    if node_id is None:
+        node_id = r.str_()
+    incarnation = r.int_()
+    services = r.items()
+    attrs = r.items()
+    return NodeRecord(
+        node_id=node_id, incarnation=incarnation, services=services, attrs=attrs
+    )
+
+
+def _put_heartbeat(out: bytearray, hb: Any, src: Optional[str]) -> None:
+    if type(hb) is not Heartbeat:
+        raise WireError(f"heartbeat payload must be a Heartbeat, got {type(hb).__name__}")
+    record = hb.record
+    if type(record) is not NodeRecord:
+        raise WireError("heartbeat without a NodeRecord")
+    elide = record.node_id == src
+    flags = _flag(hb.is_leader, _HB_LEADER) | _flag(hb.suppressed, _HB_SUPPRESSED)
+    if hb.backup is not None:
+        flags |= _HB_BACKUP
+    if elide:
+        flags |= _HB_SELF
+    out.append(flags)
+    _put_int(out, hb.level)
+    _put_int(out, hb.update_seq)
+    _put_record(out, record, with_id=not elide)
+    if hb.backup is not None:
+        _put_str(out, hb.backup)
+
+
+def _get_heartbeat(r: _Reader, src: Optional[str]) -> Heartbeat:
+    flags = r.byte()
+    if flags & ~(_HB_LEADER | _HB_SUPPRESSED | _HB_BACKUP | _HB_SELF):
+        raise WireError(f"unknown heartbeat flags {flags:#04x}")
+    level = r.int_()
+    update_seq = r.int_()
+    if flags & _HB_SELF:
+        if src is None:
+            raise WireError("heartbeat elides its record id outside a frame")
+        node_id = src
+    else:
+        node_id = r.str_()
+        if node_id == src:
+            raise WireError("non-canonical heartbeat: record id not elided")
+    record = _get_record(r, node_id)
+    return Heartbeat(
+        record=record,
+        level=level,
+        is_leader=bool(flags & _HB_LEADER),
+        suppressed=bool(flags & _HB_SUPPRESSED),
+        backup=r.str_() if flags & _HB_BACKUP else None,
+        update_seq=update_seq,
+    )
+
+
+def _put_op(out: bytearray, op: Any) -> None:
+    if type(op) is not UpdateOp:
+        raise WireError(f"expected an UpdateOp, got {type(op).__name__}")
+    index = _OP_INDEX.get(op.op) if type(op.op) is str else None
+    if index is None:
+        raise WireError(f"unknown update op {op.op!r}")
+    out.append(index if op.record is None else index | _OP_RECORD)
+    _put_str(out, op.node_id)
+    _put_int(out, op.incarnation)
+    if op.record is not None:
+        _put_record(out, op.record)
+
+
+def _get_op(r: _Reader) -> UpdateOp:
+    code = r.byte()
+    index = code & ~_OP_RECORD
+    if index >= len(_OPS):
+        raise WireError(f"unknown update op code {code:#04x}")
+    node_id = r.str_()
+    incarnation = r.int_()
+    record = _get_record(r) if code & _OP_RECORD else None
+    return UpdateOp(op=_OPS[index], node_id=node_id, incarnation=incarnation, record=record)
+
+
+def _put_ops(out: bytearray, ops: Any) -> None:
+    if type(ops) is not tuple:
+        raise WireError(f"update ops must be a tuple, got {type(ops).__name__}")
+    _put_uvarint(out, len(ops))
+    for op in ops:
+        _put_op(out, op)
+
+
+def _get_ops(r: _Reader) -> Tuple[UpdateOp, ...]:
+    return tuple(_get_op(r) for _ in range(r.count()))
+
+
+def _put_update(out: bytearray, msg: Any, src: Optional[str]) -> None:
+    if type(msg) is not UpdateMessage:
+        raise WireError(f"update payload must be an UpdateMessage, got {type(msg).__name__}")
+    _put_int(out, msg.uid)
+    _put_str(out, msg.origin)
+    _put_str(out, msg.sender)
+    _put_int(out, msg.level)
+    _put_int(out, msg.seq)
+    _put_ops(out, msg.ops)
+    piggyback = msg.piggyback
+    if type(piggyback) is not tuple:
+        raise WireError("update piggyback must be a tuple")
+    _put_uvarint(out, len(piggyback))
+    for entry in piggyback:
+        if type(entry) is not tuple or len(entry) != 4:
+            raise WireError("piggyback entries are (seq, uid, origin, ops) tuples")
+        seq, uid, origin, ops = entry
+        _put_int(out, seq)
+        _put_int(out, uid)
+        _put_str(out, origin)
+        _put_ops(out, ops)
+
+
+def _get_update(r: _Reader, src: Optional[str]) -> UpdateMessage:
+    uid = r.int_()
+    origin = r.str_()
+    sender = r.str_()
+    level = r.int_()
+    seq = r.int_()
+    ops = _get_ops(r)
+    piggyback = tuple(
+        (r.int_(), r.int_(), r.str_(), _get_ops(r)) for _ in range(r.count())
+    )
+    return UpdateMessage(
+        uid=uid,
+        origin=origin,
+        sender=sender,
+        level=level,
+        seq=seq,
+        ops=ops,
+        piggyback=piggyback,
+    )
+
+
+# ----------------------------------------------------------------------
+# Per-kind schemas
+# ----------------------------------------------------------------------
+_Put = Callable[[bytearray, Any], None]
+_Get = Callable[[_Reader], Any]
+_Encode = Callable[[bytearray, Any, Optional[str]], None]
+_Decode = Callable[[_Reader, Optional[str]], Any]
+
+
+def _put_list(put: _Put) -> _Put:
+    def encode(out: bytearray, items: Any) -> None:
+        if type(items) is not list:
+            raise WireError(f"expected a list, got {type(items).__name__}")
+        _put_uvarint(out, len(items))
+        for item in items:
+            put(out, item)
+
+    return encode
+
+
+def _get_list(get: _Get) -> _Get:
+    return lambda r: [get(r) for _ in range(r.count())]
+
+
+def _put_int_map(out: bytearray, mapping: Any) -> None:
+    if type(mapping) is not dict:
+        raise WireError(f"expected a dict, got {type(mapping).__name__}")
+    _put_uvarint(out, len(mapping))
+    for key, val in mapping.items():
+        _put_int(out, key)
+        _put_int(out, val)
+
+
+def _get_int_map(r: _Reader) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    for _ in range(r.count()):
+        key = r.int_()
+        out[key] = r.int_()
+    return out
+
+
+_STR: Tuple[_Put, _Get] = (_put_str, _Reader.str_)
+_STRS: Tuple[_Put, _Get] = (_put_list(_put_str), _get_list(_Reader.str_))
+_RECORDS: Tuple[_Put, _Get] = (_put_list(_put_record), _get_list(_get_record))
+_INT_MAP: Tuple[_Put, _Get] = (_put_int_map, _get_int_map)
+
+
+def _fields(*fields: Tuple[str, Tuple[_Put, _Get]]) -> Tuple[_Encode, _Decode]:
+    """Schema of a dict payload with exactly these keys, in this order."""
+    keys = frozenset(name for name, _codec in fields)
+
+    def encode(out: bytearray, payload: Any, src: Optional[str]) -> None:
+        if type(payload) is not dict or payload.keys() != keys:
+            raise WireError(f"payload must be a dict with keys {sorted(keys)}")
+        for name, (put, _get) in fields:
+            put(out, payload[name])
+
+    def decode(r: _Reader, src: Optional[str]) -> Dict[str, Any]:
+        return {name: get(r) for name, (_put, get) in fields}
+
+    return encode, decode
+
+
+def _put_none(out: bytearray, payload: Any, src: Optional[str]) -> None:
+    if payload is not None:
+        raise WireError(f"payload must be None, got {type(payload).__name__}")
+
+
+def _get_none(r: _Reader, src: Optional[str]) -> None:
+    return None
+
+
+#: Every schema kind in code order: codes count from 1 (0 means "kind
+#: string follows").  Append only: a code never changes meaning within
+#: one :data:`WIRE_VERSION`.
+_KINDS: Tuple[Tuple[str, _Encode, _Decode], ...] = (
+    ("heartbeat", _put_heartbeat, _get_heartbeat),
+    ("update", _put_update, _get_update),
+    ("sync_req", *_fields(("snapshot", _RECORDS))),
+    ("sync_resp", *_fields(("snapshot", _RECORDS), ("seqs", _INT_MAP))),
+    ("probe", *_fields(("origin", _STR))),
+    ("probe-req", *_fields(("target", _STR), ("origin", _STR))),
+    ("probe-ack", *_fields()),
+    ("relay_sub", *_fields(("node", _STR), ("segment", _STR), ("channels", _STRS))),
+    ("relay_unsub", *_fields(("node", _STR), ("channels", _STRS))),
+    ("relay_ack", _put_none, _get_none),
+)
+#: kind -> (code, encode, decode)
+_SCHEMAS: Dict[str, Tuple[int, _Encode, _Decode]] = {
+    kind: (code, encode, decode) for code, (kind, encode, decode) in enumerate(_KINDS, 1)
+}
+_BY_CODE: Dict[int, Tuple[str, _Decode]] = {
+    code: (kind, decode) for kind, (code, _encode, decode) in _SCHEMAS.items()
+}
 
 
 # ----------------------------------------------------------------------
@@ -384,59 +711,77 @@ def encode_packet(pkt: Packet, port: Optional[str] = None) -> bytes:
 
     ``port`` is the unicast port name (``None`` for multicast) — the
     real-transport analogue of the per-port ``bind`` dispatch the
-    simulated transport does by object routing.
+    simulated transport does by object routing.  Raises
+    :class:`WireError` when a field or the payload does not fit the
+    packet's kind; nothing else escapes.
     """
-    body = bytearray()
-    _enc_str(body, pkt.src)
-    _enc_str(body, pkt.kind)
-    _enc(body, pkt.dst)
-    _enc(body, pkt.channel)
-    body += _I64.pack(pkt.ttl)
-    body += _I64.pack(pkt.size)
-    _enc(body, port)
-    _enc(body, pkt.payload)
-    return _HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + bytes(body)
+    return _strict(_encode_packet, pkt, port)
+
+
+def _encode_packet(pkt: Packet, port: Optional[str]) -> bytes:
+    kind = pkt.kind
+    schema = _SCHEMAS.get(kind) if type(kind) is str else None
+    flags = (
+        (_F_DST if pkt.dst is not None else 0)
+        | (_F_CHANNEL if pkt.channel is not None else 0)
+        | (_F_PORT if port is not None else 0)
+    )
+    out = bytearray(_HEADER.pack(MAGIC, WIRE_VERSION, schema[0] if schema else 0, flags))
+    if schema is None:
+        _put_str(out, kind)
+    _put_str(out, pkt.src)
+    for text in (pkt.dst, pkt.channel, port):
+        if text is not None:
+            _put_str(out, text)
+    _put_int(out, pkt.ttl)
+    _put_int(out, pkt.size)
+    if schema is None:
+        _put_value(out, pkt.payload)
+    else:
+        schema[1](out, pkt.payload, pkt.src)
+    return bytes(out)
 
 
 def decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
     """Parse one framed datagram into ``(packet, port)``.
 
     Raises :class:`WireError` on bad magic, version mismatch, truncation,
-    trailing garbage or a payload that cannot be rebuilt; nothing else
-    escapes.
+    trailing garbage, a payload outside its kind's schema or one that
+    cannot be rebuilt; nothing else escapes.
     """
     return _strict(_decode_packet, data)
 
 
 def _decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
-    if len(data) < _HEADER.size:
+    if len(data) < HEADER_SIZE:
         raise WireError("datagram shorter than frame header")
-    magic, version, length = _HEADER.unpack_from(data)
+    magic, version, code, flags = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
-    if len(data) != _HEADER.size + length:
-        raise WireError(
-            f"frame length {length} does not match datagram ({len(data)} bytes)"
-        )
-    cur = _Cursor(data, _HEADER.size)
-    src = cur.str_()
-    kind = cur.str_()
-    dst = _dec(cur)
-    channel = _dec(cur)
-    ttl = cur.i64()
-    size = cur.i64()
-    port = _dec(cur)
-    payload = _dec(cur)
-    if cur.pos != len(data):
-        raise WireError(f"{len(data) - cur.pos} trailing bytes after payload")
-    if dst is not None and not isinstance(dst, str):
-        raise WireError("malformed dst")
-    if channel is not None and not isinstance(channel, str):
-        raise WireError("malformed channel")
-    if port is not None and not isinstance(port, str):
-        raise WireError("malformed port")
+    if flags & ~(_F_DST | _F_CHANNEL | _F_PORT):
+        raise WireError(f"unknown frame flags {flags:#04x}")
+    r = _Reader(data, HEADER_SIZE)
+    decode: Optional[_Decode] = None
+    if code:
+        entry = _BY_CODE.get(code)
+        if entry is None:
+            raise WireError(f"unknown kind code {code}")
+        kind, decode = entry
+    else:
+        kind = r.str_()
+        if kind in _SCHEMAS:
+            raise WireError(f"schema kind {kind!r} framed as a free-form kind")
+    src = r.str_()
+    dst = r.str_() if flags & _F_DST else None
+    channel = r.str_() if flags & _F_CHANNEL else None
+    port = r.str_() if flags & _F_PORT else None
+    ttl = r.int_()
+    size = r.int_()
+    payload = r.value() if decode is None else decode(r, src)
+    if r.pos != len(data):
+        raise WireError(f"{len(data) - r.pos} trailing bytes after payload")
     pkt = Packet(
         src=src,
         kind=kind,

@@ -206,15 +206,15 @@ def test_oversize_view_payload_over_real_loopback_udp():
             "b": NodeSpec(host="127.0.0.1", port=pb),
         },
     )
-    # A sync-snapshot-shaped payload: a few thousand NodeRecords, well
-    # over the 65,507 B UDP limit once encoded.
+    # A sync response: a few thousand NodeRecords, well over the
+    # 65,507 B UDP limit once encoded.
     snapshot = {
-        "kind": "sync_snapshot",
-        "records": [
+        "snapshot": [
             NodeRecord(node_id=f"node-{i:05d}", incarnation=i,
                        services={"svc": f"range-{i}"}, attrs={})
             for i in range(3000)
         ],
+        "seqs": {0: 7},
     }
 
     async def scenario():
@@ -239,8 +239,8 @@ def test_oversize_view_payload_over_real_loopback_udp():
 
     pkt = asyncio.run(scenario())
     assert pkt.kind == "sync_resp"
-    assert pkt.payload["records"] == snapshot["records"]
-    assert len(pkt.payload["records"]) == 3000
+    assert pkt.payload == snapshot
+    assert len(pkt.payload["snapshot"]) == 3000
 
 
 def test_encoded_oversize_frame_actually_fragments():
@@ -254,7 +254,7 @@ def test_encoded_oversize_frame_actually_fragments():
                    services={"svc": f"range-{i}"}, attrs={})
         for i in range(3000)
     ]
-    pkt = Packet(src="a", kind="sync_resp", payload={"records": records},
+    pkt = Packet(src="a", kind="sync_resp", payload={"snapshot": records, "seqs": {}},
                  size=70000, dst="b")
     data = encode_packet(pkt, "membership")
     assert len(data) > 65507

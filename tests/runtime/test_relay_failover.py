@@ -270,7 +270,7 @@ class TestSendGuards:
             await rt.start()
             rt.activate()
             try:
-                ok = rt.send("b", "sync_resp", b"x" * 70_000, size=70_000)
+                ok = rt.send("b", "blob", b"x" * 70_000, size=70_000)
                 assert ok is False
                 assert rt.send_errors == 1
             finally:
@@ -287,7 +287,7 @@ class TestSendGuards:
             await rt.start()
             rt.activate()
             try:
-                assert rt.send("b", "sync_resp", b"x" * 70_000, size=70_000) is True
+                assert rt.send("b", "blob", b"x" * 70_000, size=70_000) is True
                 assert rt.send_errors == 0
             finally:
                 rt.close()
